@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from repro import obs
 from repro.perf.precompute import PrecomputePool, WithdrawalPrecomp
@@ -100,35 +101,67 @@ class PendingPayment:
     nonce: int
 
 
-@dataclass
 class Wallet:
-    """The coin file: holds :class:`StoredCoin` objects, JSON-persistable."""
+    """The coin file: holds :class:`StoredCoin` objects, JSON-persistable.
 
-    coins: list[StoredCoin] = field(default_factory=list)
+    Coins are kept in an insertion-ordered dict keyed by the (frozen,
+    hashable) coin itself, so :meth:`add`, :meth:`remove` and ``in`` are
+    O(1) however many coins the wallet holds. A coin is held at most
+    once: adding a coin the wallet already holds changes nothing.
+    """
+
+    def __init__(self, coins: Iterable[StoredCoin] = ()) -> None:
+        self._coins: dict[StoredCoin, None] = dict.fromkeys(coins)
+
+    @property
+    def coins(self) -> list[StoredCoin]:
+        """The held coins in the order they were added (a fresh list)."""
+        return list(self._coins)
+
+    def __contains__(self, stored: object) -> bool:
+        return stored in self._coins
+
+    def __len__(self) -> int:
+        return len(self._coins)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Wallet):
+            return NotImplemented
+        return list(self._coins) == list(other._coins)
+
+    def __repr__(self) -> str:
+        return f"Wallet(coins={list(self._coins)!r})"
 
     def add(self, stored: StoredCoin) -> None:
         """Put a fresh coin in the wallet."""
-        self.coins.append(stored)
+        self._coins[stored] = None
 
     def remove(self, stored: StoredCoin) -> None:
-        """Drop a spent/renewed coin."""
-        self.coins.remove(stored)
+        """Drop a spent/renewed coin.
+
+        Raises:
+            ValueError: the wallet does not hold ``stored``.
+        """
+        try:
+            del self._coins[stored]
+        except KeyError:
+            raise ValueError("coin not in wallet") from None
 
     def spendable(self, now: int) -> list[StoredCoin]:
         """Coins currently within their spendable window."""
-        return [c for c in self.coins if c.coin.info.is_spendable(now)]
+        return [c for c in self._coins if c.coin.info.is_spendable(now)]
 
     def renewable(self, now: int) -> list[StoredCoin]:
         """Coins past soft expiry (or otherwise unusable) but not yet void."""
         return [
             c
-            for c in self.coins
+            for c in self._coins
             if c.coin.info.is_renewable(now) and not c.coin.info.is_spendable(now)
         ]
 
     def total_value(self) -> int:
         """Sum of denominations in the wallet."""
-        return sum(c.denomination for c in self.coins)
+        return sum(c.denomination for c in self._coins)
 
     def select_coins(self, amount: int, now: int) -> list[StoredCoin]:
         """Pick spendable coins summing to exactly ``amount``.
@@ -163,9 +196,15 @@ class Wallet:
         return chosen
 
     def save(self, path: str | Path) -> None:
-        """Write the wallet to a JSON file."""
-        payload = {"version": 1, "coins": [c.to_json() for c in self.coins]}
-        Path(path).write_text(json.dumps(payload, indent=2))
+        """Write the wallet to a JSON file, atomically (it holds coin secrets).
+
+        The bytes land via :func:`repro.store.atomic.write_atomic`, so a
+        crash mid-save leaves the previous file intact.
+        """
+        from repro.store.atomic import write_atomic
+
+        payload = {"version": 1, "coins": [c.to_json() for c in self._coins]}
+        write_atomic(Path(path), json.dumps(payload, indent=2).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Wallet":
@@ -386,8 +425,8 @@ class Client:
         )
 
     def mark_spent(self, stored: StoredCoin) -> None:
-        """Remove a successfully spent coin from the wallet."""
-        if stored in self.wallet.coins:
+        """Remove a successfully spent coin from the wallet (O(1))."""
+        if stored in self.wallet:
             self.wallet.remove(stored)
             obs.counter_inc("client_coins_spent_total")
 

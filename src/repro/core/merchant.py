@@ -71,6 +71,12 @@ class Merchant:
     deposited: list[SignedTranscript] = field(default_factory=list)
     refused_double_spends: list[DoubleSpendProof] = field(default_factory=list)
     _seen_bare_coins: set[object] = field(default_factory=set)
+    #: Accepted-but-undeposited transcripts in accept order: the O(1)
+    #: settlement index behind :meth:`pending_deposits`. ``accepted`` and
+    #: ``deposited`` stay the append-only audit record.
+    _pending: dict[SignedTranscript, None] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @property
     def public_key(self) -> int:
@@ -129,6 +135,7 @@ class Merchant:
         if not signed.verify_witness_signature(self.params, witness_public):
             raise InvalidPaymentError("witness signature on transcript failed to verify")
         self.accepted.append(signed)
+        self._pending[signed] = None
         self._seen_bare_coins.add(signed.transcript.coin.bare)
 
     def handle_double_spend_proof(self, proof: DoubleSpendProof, coin: Coin) -> None:
@@ -323,12 +330,18 @@ class Merchant:
         return secrets.randbits(64)
 
     def pending_deposits(self) -> list[SignedTranscript]:
-        """Signed transcripts accepted but not yet deposited."""
-        return [signed for signed in self.accepted if signed not in self.deposited]
+        """Signed transcripts accepted but not yet deposited, in accept order.
+
+        O(pending): the index is kept by :meth:`accept_signed_transcript`
+        and :meth:`mark_deposited`, so the cost does not grow with the
+        merchant's deposit history.
+        """
+        return list(self._pending)
 
     def mark_deposited(self, signed: SignedTranscript) -> None:
-        """Record a successful deposit."""
+        """Record a successful deposit (O(1))."""
         self.deposited.append(signed)
+        self._pending.pop(signed, None)
 
     def _witness_public(self, coin: Coin) -> int:
         """Look up the public key of the coin's witness.

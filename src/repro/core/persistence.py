@@ -511,9 +511,17 @@ def restore_witness(
 # ----------------------------------------------------------------------
 
 def save_broker(broker: Broker, path: str | Path) -> None:
-    """Serialize the full broker state (including secrets) to JSON."""
+    """Serialize the full broker state (including secrets) to JSON.
+
+    Written atomically (:func:`repro.store.atomic.write_atomic`): a crash
+    mid-save leaves the previous snapshot intact.
+    """
+    from repro.store.atomic import write_atomic
+
     state = {"version": STATE_VERSION, "spaces": broker_spaces(broker)}
-    Path(path).write_text(json.dumps(state, indent=1, sort_keys=True))
+    write_atomic(
+        Path(path), json.dumps(state, indent=1, sort_keys=True).encode("utf-8")
+    )
 
 
 def load_broker(path: str | Path, params: SystemParams) -> Broker:

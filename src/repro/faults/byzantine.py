@@ -71,7 +71,7 @@ def double_spend_process(
         if index > 0:
             if pause > 0:
                 yield Sleep(pause)
-            if stored not in client.wallet.coins:
+            if stored not in client.wallet:
                 client.wallet.add(stored)  # the attacker "forgets" it was spent
         try:
             yield from deployment.payment_process(client_name, stored, merchant_id)

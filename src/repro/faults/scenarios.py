@@ -142,7 +142,8 @@ def _settle_one(
     try:
         replies = deployment.run(deployment.deposit_process(merchant_id))
         lines.extend(
-            f"deposit {merchant_id}: {reply.get('outcome')}" for reply in replies
+            f"deposit {merchant_id}: {reply.get('outcome', 'already-credited')}"
+            for reply in replies
         )
     except SimTimeoutError:
         lines.append(f"deposit {merchant_id}: timeout")
@@ -280,7 +281,7 @@ def _scenario_corrupt(seed: int) -> ScenarioResult:
     # Wait out the first commitment's lifetime, then retry cleanly.
     deployment.sim.schedule(200.0, lambda: None)
     deployment.sim.run()
-    if stored in deployment.clients[CLIENT].wallet.coins:
+    if stored in deployment.clients[CLIENT].wallet:
         outcomes.append(f"payment-retry: {_pay(deployment, stored, merchant_id)}")
     outcomes.extend(_settle(system, deployment))
     return _finish("corrupt-payment", seed, outcomes, checker, injector)

@@ -36,7 +36,11 @@ from typing import Any, Callable, Generator, Mapping, Protocol
 from repro.core.broker import Broker
 from repro.core.client import Client, StoredCoin
 from repro.core.coin import BareCoin
-from repro.core.exceptions import DoubleSpendError, RenewalRefusedError
+from repro.core.exceptions import (
+    DoubleDepositError,
+    DoubleSpendError,
+    RenewalRefusedError,
+)
 from repro.core.info import CoinInfo
 from repro.core.merchant import Merchant, PaymentRequest
 from repro.core.transcripts import (
@@ -413,18 +417,31 @@ def direct_spend_flow(
 def deposit_flow(merchant: Merchant, merchant_id: str, broker_id: str) -> Flow:
     """Algorithm 3 as a flow (one broker message per pending transcript).
 
+    Settling is idempotent: a :class:`DoubleDepositError` means the broker
+    already credited this merchant for the coin (an earlier reply was
+    lost or a replayed request won the race), so the transcript is marked
+    deposited, reported as a refusal item, and settling continues. Every
+    other refusal and every transport error propagates and leaves the
+    transcript pending.
+
     Returns:
-        One ``{"outcome", "amount"}`` mapping per deposited transcript.
+        Per transcript settled, in order: ``{"outcome", "amount"}``, or
+        ``{"error", "kind"}`` for one the broker had already credited.
     """
     results: list[dict[str, Any]] = []
     for signed in merchant.pending_deposits():
-        reply = flatten(
-            (yield RemoteCall(
-                broker_id,
-                "deposit",
-                {"merchant_id": merchant_id, "signed": signed.to_wire()},
-            ))
-        )
+        try:
+            reply = flatten(
+                (yield RemoteCall(
+                    broker_id,
+                    "deposit",
+                    {"merchant_id": merchant_id, "signed": signed.to_wire()},
+                ))
+            )
+        except DoubleDepositError as refusal:
+            merchant.mark_deposited(signed)
+            results.append({"error": str(refusal), "kind": type(refusal).__name__})
+            continue
         merchant.mark_deposited(signed)
         results.append(
             {"outcome": str(reply["outcome"]), "amount": as_int(reply["amount"])}

@@ -23,8 +23,9 @@ from typing import Any, Generator
 from repro import obs
 from repro.faults.recovery import BackoffPolicy, CircuitBreaker
 from repro.core.client import Client, StoredCoin
-from repro.core.exceptions import ServiceUnavailableError
+from repro.core.exceptions import DoubleDepositError, ServiceUnavailableError
 from repro.core.info import CoinInfo
+from repro.core.merchant import Merchant
 from repro.core.system import EcashSystem
 from repro.core.transcripts import SignedTranscript
 from repro.crypto.blind import SignerChallenge, SignerResponse
@@ -325,8 +326,10 @@ class NetworkDeployment:
         ``deposit/batch`` message and the broker clears them through
         :meth:`repro.core.broker.Broker.deposit_batch` (one combined
         representation check instead of one per transcript). Transcripts
-        the broker rejected stay pending; accepted ones are marked
-        deposited.
+        the broker rejected stay pending; accepted ones — and, as in
+        :func:`repro.net.registry.deposit_flow`, ones it refused with
+        ``DoubleDepositError`` because it already credited them — are
+        marked deposited.
         """
         return self._traced(
             "net.batch_deposit",
@@ -352,25 +355,7 @@ class NetworkDeployment:
                 },
             ))
         )
-        results: list[dict[str, Any]] = []
-        for index, signed in enumerate(pending):
-            outcome = reply.get(f"r{index}.outcome")
-            if outcome is not None:
-                merchant.mark_deposited(signed)
-                results.append(
-                    {
-                        "outcome": str(outcome),
-                        "amount": _as_int(reply[f"r{index}.amount"]),
-                    }
-                )
-            else:
-                results.append(
-                    {
-                        "error": str(reply.get(f"r{index}.error", "unknown")),
-                        "kind": str(reply.get(f"r{index}.kind", "EcashError")),
-                    }
-                )
-        return results
+        return _settle_batch_reply(merchant, pending, reply)
 
     # ------------------------------------------------------------------
     # Pipelined deposit streaming
@@ -486,23 +471,7 @@ class NetworkDeployment:
                     },
                 ))
             )
-            for index, signed in enumerate(items):
-                outcome = reply.get(f"r{index}.outcome")
-                if outcome is not None:
-                    merchant.mark_deposited(signed)
-                    results.append(
-                        {
-                            "outcome": str(outcome),
-                            "amount": _as_int(reply[f"r{index}.amount"]),
-                        }
-                    )
-                else:
-                    results.append(
-                        {
-                            "error": str(reply.get(f"r{index}.error", "unknown")),
-                            "kind": str(reply.get(f"r{index}.kind", "EcashError")),
-                        }
-                    )
+            results.extend(_settle_batch_reply(merchant, items, reply))
             if not drain_all and not pipeline.ready(self.sim.now):
                 break
         self.deposit_stream_results.setdefault(merchant_id, []).extend(results)
@@ -691,6 +660,34 @@ class NetworkDeployment:
         }
         for method, handler in table.items():
             node.on(method, handler)
+
+
+def _settle_batch_reply(
+    merchant: Merchant, items: list[SignedTranscript], reply: dict[str, Any]
+) -> list[dict[str, Any]]:
+    """Per-item results of a flattened ``deposit/batch`` reply.
+
+    Credited items are marked deposited. So are items refused with
+    ``DoubleDepositError``: the broker already credited this merchant for
+    the coin, so keeping them pending would refuse them forever. Every
+    other refusal leaves its transcript pending.
+    """
+    results: list[dict[str, Any]] = []
+    for index, signed in enumerate(items):
+        outcome = reply.get(f"r{index}.outcome")
+        if outcome is not None:
+            merchant.mark_deposited(signed)
+            results.append(
+                {"outcome": str(outcome), "amount": _as_int(reply[f"r{index}.amount"])}
+            )
+            continue
+        kind = str(reply.get(f"r{index}.kind", "EcashError"))
+        if kind == DoubleDepositError.__name__:
+            merchant.mark_deposited(signed)
+        results.append(
+            {"error": str(reply.get(f"r{index}.error", "unknown")), "kind": kind}
+        )
+    return results
 
 
 __all__ = ["NetworkDeployment", "PaymentReceipt", "BROKER_NODE"]

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -35,6 +34,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro import obs
+from repro.store.atomic import write_atomic
 from repro.store.backend import KVBackend, make_backend
 from repro.store.errors import StoreCorruptError
 from repro.store.retry import RetryPolicy, with_retries
@@ -266,7 +266,7 @@ class Shard:
     def compact(self) -> None:
         """Snapshot current state atomically, then reset the WAL.
 
-        The snapshot lands via tmp file + fsync + ``os.replace``; a crash
+        The snapshot lands via :func:`~repro.store.atomic.write_atomic`; a crash
         between the replace and the WAL reset leaves the stale-snapshot +
         longer-WAL layout that :meth:`recover` handles idempotently.
         """
@@ -286,17 +286,8 @@ class Shard:
             sort_keys=True,
             separators=(",", ":"),
         ).encode("utf-8")
-        tmp = self.snapshot_path.with_suffix(".json.tmp")
-
-        def write_file() -> None:
-            with open(tmp, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.snapshot_path)
-
         with_retries(
-            write_file,
+            lambda: write_atomic(self.snapshot_path, payload),
             policy=self.retry,
             rng=self.rng,
             describe=f"write snapshot {self.snapshot_path.name}",

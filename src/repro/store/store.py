@@ -24,7 +24,6 @@ import contextlib
 import hashlib
 import itertools
 import json
-import os
 import random
 import time
 import zlib
@@ -32,6 +31,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from repro import obs
+from repro.store.atomic import write_atomic
 from repro.store.errors import StoreCorruptError
 from repro.store.retry import RetryPolicy, with_retries
 from repro.store.shard import RecoveryStats, Shard, committed_txns
@@ -407,17 +407,8 @@ class Store:
             {"version": MANIFEST_VERSION, "shards": shards, "backend": backend},
             sort_keys=True,
         ).encode("utf-8")
-        tmp = self.manifest_path.with_suffix(".json.tmp")
-
-        def write_manifest() -> None:
-            with open(tmp, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.manifest_path)
-
         with_retries(
-            write_manifest,
+            lambda: write_atomic(self.manifest_path, payload),
             policy=self.retry,
             rng=self.rng,
             describe=f"write manifest {self.manifest_path.name}",

@@ -24,7 +24,7 @@ def _accepted_transcripts(system, dep, merchant_id, count):
         stored = dep.run(dep.withdrawal_process("client-0", info))
         if stored.coin.witness_id == merchant_id:
             # Spend it elsewhere; we only stream deposits for merchant_id.
-            client.wallet.coins.remove(stored)
+            client.wallet.remove(stored)
             continue
         dep.run(dep.payment_process("client-0", stored, merchant_id))
         signed = system.merchant(merchant_id).pending_deposits()
